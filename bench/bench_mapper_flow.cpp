@@ -1,12 +1,15 @@
 // Experiment A1 - mapper ablations. The paper relies on a "software flow"
 // that maps implementations onto the arrays; this bench characterises our
 // flow: annealing schedule vs wirelength, channel width vs routability,
-// and end-to-end compile timing per implementation.
+// end-to-end compile timing per implementation, and the wall time of
+// building the whole two-geometry kernel library (every context's
+// place/route attempt, run concurrently, plus the delta table).
 #include <benchmark/benchmark.h>
 
 #include "common/report.hpp"
 #include "dct/impl.hpp"
 #include "mapper/flow.hpp"
+#include "runtime/fabric_pool.hpp"
 
 namespace {
 
@@ -61,9 +64,19 @@ void bm_compile(benchmark::State& state) {
   state.counters["clusters"] = nl.census().total();
 }
 
+void bm_library_build(benchmark::State& state) {
+  runtime::KernelLibraryConfig config;
+  config.geometries = {runtime::kDefaultGeometry, runtime::kSmallSccGeometry};
+  for (auto _ : state) {
+    const runtime::KernelLibrary library(config);
+    benchmark::DoNotOptimize(library.total_bytes());
+  }
+}
+
 }  // namespace
 
 BENCHMARK(bm_compile)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_library_build)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 int main(int argc, char** argv) {
   ablation_report();

@@ -1,9 +1,8 @@
 #include "mapper/route.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
-#include <set>
 #include <stdexcept>
 
 namespace dsra::map {
@@ -71,11 +70,17 @@ RouteResult route(const Netlist& netlist, const Placement& placement, const RRGr
 
   double pres_fac = params.present_factor;
 
-  // Dijkstra scratch.
+  // Dijkstra scratch. Membership flags are epoch-marked instead of
+  // cleared: visit_mark/target_mark hold the epoch of the current sink
+  // search, tree_mark the epoch of the net being routed.
   std::vector<double> dist(static_cast<std::size_t>(n_nodes));
   std::vector<RRNodeId> prev(static_cast<std::size_t>(n_nodes));
   std::vector<int> visit_mark(static_cast<std::size_t>(n_nodes), -1);
+  std::vector<int> target_mark(static_cast<std::size_t>(n_nodes), -1);
+  std::vector<int> tree_mark(static_cast<std::size_t>(n_nodes), -1);
+  std::vector<QEntry> heap;  // min-heap on cost via std::greater
   int visit_epoch = 0;
+  int tree_epoch = 0;
 
   auto node_cost = [&](RRNodeId n, int demand) {
     const int over = usage[static_cast<std::size_t>(n)] + demand - graph.capacity(n);
@@ -94,13 +99,13 @@ RouteResult route(const Netlist& netlist, const Placement& placement, const RRGr
 
       const NetTerminals& t = terms[static_cast<std::size_t>(id)];
       std::vector<RRNodeId> tree;           // nodes of the growing route tree
-      std::set<RRNodeId> in_tree;
+      ++tree_epoch;
 
       for (std::size_t sink_i = 0; sink_i < t.sinks.size(); ++sink_i) {
         // Dijkstra sources: current tree (cost 0 to re-use) or the driver
         // access nodes (entry cost) for the first sink.
         ++visit_epoch;
-        std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+        heap.clear();
         auto relax = [&](RRNodeId n, double c, RRNodeId from) {
           if (visit_mark[static_cast<std::size_t>(n)] == visit_epoch &&
               dist[static_cast<std::size_t>(n)] <= c)
@@ -108,7 +113,8 @@ RouteResult route(const Netlist& netlist, const Placement& placement, const RRGr
           visit_mark[static_cast<std::size_t>(n)] = visit_epoch;
           dist[static_cast<std::size_t>(n)] = c;
           prev[static_cast<std::size_t>(n)] = from;
-          pq.push({c, n});
+          heap.push_back({c, n});
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
         };
         if (tree.empty()) {
           for (const RRNodeId s : t.source) relax(s, node_cost(s, rn.demand), kInvalidId);
@@ -116,16 +122,17 @@ RouteResult route(const Netlist& netlist, const Placement& placement, const RRGr
           for (const RRNodeId s : tree) relax(s, 0.0, kInvalidId);
         }
 
-        const auto& targets = t.sinks[sink_i];
-        std::set<RRNodeId> target_set(targets.begin(), targets.end());
+        for (const RRNodeId n : t.sinks[sink_i])
+          target_mark[static_cast<std::size_t>(n)] = visit_epoch;
         RRNodeId reached = kInvalidId;
-        while (!pq.empty()) {
-          const QEntry e = pq.top();
-          pq.pop();
+        while (!heap.empty()) {
+          std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+          const QEntry e = heap.back();
+          heap.pop_back();
           if (visit_mark[static_cast<std::size_t>(e.node)] == visit_epoch &&
               e.cost > dist[static_cast<std::size_t>(e.node)])
             continue;
-          if (target_set.count(e.node)) {
+          if (target_mark[static_cast<std::size_t>(e.node)] == visit_epoch) {
             reached = e.node;
             break;
           }
@@ -141,7 +148,10 @@ RouteResult route(const Netlist& netlist, const Placement& placement, const RRGr
         int hops = 0;
         for (RRNodeId n = reached; n != kInvalidId; n = prev[static_cast<std::size_t>(n)]) {
           ++hops;
-          if (in_tree.insert(n).second) tree.push_back(n);
+          if (tree_mark[static_cast<std::size_t>(n)] != tree_epoch) {
+            tree_mark[static_cast<std::size_t>(n)] = tree_epoch;
+            tree.push_back(n);
+          }
         }
         rn.sink_hops[sink_i] = hops;
       }

@@ -1,7 +1,10 @@
 #include "runtime/fabric_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 
 #include "core/arch.hpp"
 #include "mapper/flow.hpp"
@@ -43,54 +46,99 @@ KernelLibrary::KernelLibrary(KernelLibraryConfig config)
     throw std::invalid_argument("kernel library needs at least one array geometry");
   impls_ = dct::all_implementations(config.precision);
 
+  // One place/route attempt per (geometry, context). The netlists are
+  // built once and shared read-only by every attempt. The DA/CORDIC
+  // contexts target a distributed-arithmetic grid of the geometry's size;
+  // whether an implementation fits is decided by actually running
+  // place/route, not by a side table that could drift from the mapper.
+  // The systolic ME context is compiled onto the ME instance the geometry
+  // can carve out (a scaled instance keeps library construction cheap;
+  // the scheduler's cycle model is parameterised independently).
+  std::vector<Netlist> dct_netlists;
+  dct_netlists.reserve(impls_.size());
+  for (const auto& impl : impls_) dct_netlists.push_back(impl->build_netlist());
   me::SystolicParams me_params;
   me_params.block = 4;
   me_params.modules = 2;
   const Netlist me_netlist = me::build_systolic_netlist(me_params);
 
+  struct CompileTask {
+    ArrayGeometry geometry;
+    std::string name;
+    const Netlist* netlist = nullptr;
+    ArrayArch arch;
+    std::uint64_t seed = 0;
+  };
+  /// Written by the one worker that ran the task.
+  struct CompileOutcome {
+    bool fits = false;
+    std::vector<std::uint8_t> bitstream;
+    ConfigFrameImage frame_image;
+    std::string unfit_reason;  ///< the mapper's message when it found no fit
+    std::exception_ptr error;  ///< anything other than infeasibility
+  };
+  std::vector<CompileTask> tasks;
   for (const ArrayGeometry& geometry : geometries_) {
-    if (entries_.count(geometry) != 0) continue;  // duplicates compile once
-    GeometryEntry& entry = entries_[geometry];
+    if (std::any_of(tasks.begin(), tasks.end(),
+                    [&](const CompileTask& t) { return t.geometry == geometry; }))
+      continue;  // duplicates compile once
+    const ArrayArch array = ArrayArch::distributed_arithmetic(geometry.width, geometry.height);
+    for (std::size_t i = 0; i < impls_.size(); ++i)
+      tasks.push_back({geometry, impls_[i]->name(), &dct_netlists[i], array, 17});
+    tasks.push_back({geometry, kMeContextName, &me_netlist, me_arch_for(geometry), 11});
+  }
 
-    // The DA/CORDIC contexts target a distributed-arithmetic grid of the
-    // geometry's size; whether an implementation fits is decided by
-    // actually running place/route, not by a side table that could drift
-    // from the mapper.
-    const ArrayArch array =
-        ArrayArch::distributed_arithmetic(geometry.width, geometry.height);
-    for (const auto& impl : impls_) {
-      const Netlist netlist = impl->build_netlist();
+  // Attempts are independent and deterministic, so they run on up to one
+  // thread per core (the constructing thread included), pulling tasks in
+  // order; the results do not depend on the thread count.
+  std::vector<CompileOutcome> outcomes(tasks.size());
+  std::atomic<std::size_t> next_task{0};
+  const auto run_tasks = [&] {
+    for (std::size_t i = next_task++; i < tasks.size(); i = next_task++) {
+      const CompileTask& task = tasks[i];
+      CompileOutcome& out = outcomes[i];
       map::FlowParams params;
-      params.place.seed = 17;
+      params.place.seed = task.seed;
       try {
-        map::CompiledDesign design = map::compile(netlist, array, params);
-        entry.frame_images.emplace(impl->name(),
-                                   image_of_design(netlist, design.placement, array));
-        entry.bitstreams.emplace(impl->name(), std::move(design.bitstream));
-      } catch (const std::runtime_error& e) {
-        // The mapper signals infeasibility (site shortage, routing
-        // non-convergence) as std::runtime_error; anything else — a
-        // logic error, allocation failure — must stay loud.
-        entry.unfit_reasons.emplace(impl->name(), e.what());
+        try {
+          map::CompiledDesign design = map::compile(*task.netlist, task.arch, params);
+          out.frame_image = image_of_design(*task.netlist, design.placement, task.arch);
+          out.bitstream = std::move(design.bitstream);
+          out.fits = true;
+        } catch (const std::runtime_error& e) {
+          // The mapper signals infeasibility (site shortage, routing
+          // non-convergence) as std::runtime_error; anything else — a
+          // logic error, allocation failure — must stay loud, so it is
+          // rethrown on the constructing thread below.
+          out.unfit_reason = e.what();
+        }
+      } catch (...) {
+        out.error = std::current_exception();
       }
     }
+  };
+  {
+    const std::size_t threads =
+        std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, tasks.size());
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(run_tasks);
+    run_tasks();
+  }
+  for (const CompileOutcome& out : outcomes)
+    if (out.error) std::rethrow_exception(out.error);
 
-    // The systolic ME array's configuration context, compiled onto the
-    // ME instance this geometry can carve out (a scaled instance keeps
-    // library construction cheap; the scheduler's cycle model is
-    // parameterised independently).
-    const ArrayArch me_array = me_arch_for(geometry);
-    map::FlowParams me_flow;
-    me_flow.place.seed = 11;
-    try {
-      map::CompiledDesign me_design = map::compile(me_netlist, me_array, me_flow);
-      entry.frame_images.emplace(kMeContextName,
-                                 image_of_design(me_netlist, me_design.placement, me_array));
-      entry.bitstreams.emplace(kMeContextName, std::move(me_design.bitstream));
-    } catch (const std::runtime_error& e) {
-      entry.unfit_reasons.emplace(kMeContextName, e.what());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    GeometryEntry& entry = entries_[tasks[i].geometry];
+    CompileOutcome& out = outcomes[i];
+    if (out.fits) {
+      entry.frame_images.emplace(tasks[i].name, std::move(out.frame_image));
+      entry.bitstreams.emplace(tasks[i].name, std::move(out.bitstream));
+    } else {
+      entry.unfit_reasons.emplace(tasks[i].name, std::move(out.unfit_reason));
     }
+  }
 
+  for (auto& [geometry, entry] : entries_) {
     // Precompute the pairwise delta table over every context pair of
     // this geometry sharing an array grid (the DCT variants; the ME
     // context lives on its own grid, so a DCT <-> ME pair correctly has
