@@ -53,23 +53,21 @@ AdmissionController::AdmissionController(const KernelLibrary& library,
   report_.enabled = config_.enabled;
 }
 
-std::uint64_t AdmissionController::frame_cycles(const StreamJob& job, int frame) const {
+FrameCycles AdmissionController::kernel_cycles(const StreamJob& job, int frame) const {
   // Mirrors the encoder's charging exactly (content-independent, so the
   // prediction is exact before any pixel is touched):
   //   intra (frame 0): ceil(w/8) * ceil(h/8) blocks, no ME;
   //   inter: ceil(w/mb) * ceil(h/mb) macroblocks, each paying one ME
   //     search plus ceil(mb/8)^2 residual blocks (the codec's sub-block
   //     loop runs the full macroblock extent even at the frame border).
-  // A whole-frame job then costs ME + 2x the DCT pass (forward and
-  // inverse), exactly what sim_schedule charges StageKind::kWholeFrame.
   const int w = job.config.width;
   const int h = job.config.height;
   const int mb = job.config.codec.me_block;
   const dct::DctImplementation* impl = library_.impl(job.impl_for(frame));
-  if (impl == nullptr || w <= 0 || h <= 0 || mb <= 0) return 0;
+  if (impl == nullptr || w <= 0 || h <= 0 || mb <= 0) return {};
   const auto block_cycles = static_cast<std::uint64_t>(dct::cycles_for_block(*impl));
+  FrameCycles cycles;
   std::uint64_t dct_blocks = 0;
-  std::uint64_t me = 0;
   if (frame == 0) {
     dct_blocks = static_cast<std::uint64_t>(ceil_div(w, 8)) *
                  static_cast<std::uint64_t>(ceil_div(h, 8));
@@ -78,10 +76,15 @@ std::uint64_t AdmissionController::frame_cycles(const StreamJob& job, int frame)
                                       static_cast<std::uint64_t>(ceil_div(h, mb));
     const auto sub = static_cast<std::uint64_t>(ceil_div(mb, 8));
     dct_blocks = macroblocks * sub * sub;
-    me = macroblocks *
-         me::systolic_cycles_per_block(job.config.codec.me_range, me_params_);
+    cycles.me = macroblocks *
+                me::systolic_cycles_per_block(job.config.codec.me_range, me_params_);
   }
-  return me + 2 * dct_blocks * block_cycles;
+  cycles.dct = dct_blocks * block_cycles;
+  return cycles;
+}
+
+std::uint64_t AdmissionController::frame_cycles(const StreamJob& job, int frame) const {
+  return stage_cycles(StageKind::kWholeFrame, kernel_cycles(job, frame));
 }
 
 std::string AdmissionController::cheapest_fitting_impl() const {
@@ -144,24 +147,10 @@ AdmissionController::PilotStream AdmissionController::pilot_of(const StreamJob& 
   pilot.stream_id = job.id;
   pilot.sla = job.config.sla;
   const int frames = static_cast<int>(job.frames.size());
-  pilot.me_cycles.reserve(static_cast<std::size_t>(frames));
-  pilot.dct_cycles.reserve(static_cast<std::size_t>(frames));
+  pilot.cycles.reserve(static_cast<std::size_t>(frames));
   pilot.hosts.reserve(static_cast<std::size_t>(frames));
   for (int f = 0; f < frames; ++f) {
-    const std::uint64_t whole = frame_cycles(job, f);
-    // Split the whole-frame cost back into the stage stats the sim
-    // charges from: whole = me + 2 * dct.
-    std::uint64_t me = 0;
-    if (f > 0) {
-      const int mb = job.config.codec.me_block;
-      const std::uint64_t macroblocks =
-          static_cast<std::uint64_t>(ceil_div(job.config.width, mb)) *
-          static_cast<std::uint64_t>(ceil_div(job.config.height, mb));
-      me = macroblocks *
-           me::systolic_cycles_per_block(job.config.codec.me_range, me_params_);
-    }
-    pilot.me_cycles.push_back(me);
-    pilot.dct_cycles.push_back((whole - me) / 2);
+    pilot.cycles.push_back(kernel_cycles(job, f));
     pilot.hosts.push_back(pool_.hosting_fabric_ids(job.impl_for(f), kCapDctTransform));
   }
   return pilot;
@@ -224,7 +213,7 @@ AdmissionController::PilotOutcome AdmissionController::pilot(
 
   CalendarQueue pending;
   for (std::size_t i = 0; i < set.size(); ++i)
-    if (!set[i].me_cycles.empty()) pending.push(0, deadline_or_max(set[i].sla), i);
+    if (!set[i].cycles.empty()) pending.push(0, deadline_or_max(set[i].sla), i);
 
   std::vector<StageEvent> events;
   std::uint64_t tick = 0;
@@ -237,12 +226,12 @@ AdmissionController::PilotOutcome AdmissionController::pilot(
       outcome.placeable = false;
       outcome.completion_cycles[pick] = kNoDeadline;
       outcome.p99_cycles[pick] = kNoDeadline;
-      lane.next = stream.me_cycles.size();  // nothing downstream can run
+      lane.next = stream.cycles.size();  // nothing downstream can run
       continue;
     }
     const int fabric = pick_fabric(hosts);
     const std::uint64_t duration =
-        stream.me_cycles[lane.next] + 2 * stream.dct_cycles[lane.next];
+        stage_cycles(StageKind::kWholeFrame, stream.cycles[lane.next]);
     std::uint64_t& free = free_of(fabric);
     const std::uint64_t start = std::max(lane.ready, free);
     free = start + duration;
@@ -257,7 +246,7 @@ AdmissionController::PilotOutcome AdmissionController::pilot(
     event.stage = StageKind::kWholeFrame;
     events.push_back(event);
     ++lane.next;
-    if (lane.next < stream.me_cycles.size())
+    if (lane.next < stream.cycles.size())
       pending.push(lane.ready, deadline_or_max(stream.sla), pick);
   }
 
@@ -266,11 +255,11 @@ AdmissionController::PilotOutcome AdmissionController::pilot(
   std::vector<StreamJob> pilot_jobs(set.size());
   for (std::size_t i = 0; i < set.size(); ++i) {
     pilot_jobs[i].id = static_cast<int>(i);
-    for (std::size_t f = 0; f < set[i].me_cycles.size(); ++f) {
+    for (std::size_t f = 0; f < set[i].cycles.size(); ++f) {
       FrameRecord record;
       record.frame_index = static_cast<int>(f);
-      record.stats.me_array_cycles = set[i].me_cycles[f];
-      record.stats.dct_array_cycles = set[i].dct_cycles[f];
+      record.stats.me_array_cycles = set[i].cycles[f].me;
+      record.stats.dct_array_cycles = set[i].cycles[f].dct;
       pilot_jobs[i].records.push_back(record);
     }
   }

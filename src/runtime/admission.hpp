@@ -39,6 +39,7 @@
 #include "me/systolic.hpp"
 #include "runtime/fabric_pool.hpp"
 #include "runtime/job.hpp"
+#include "runtime/stage_dag.hpp"
 
 namespace dsra::runtime {
 
@@ -104,10 +105,15 @@ class AdmissionController {
   /// candidate exactly like admit_all.
   AdmissionDecision admit(StreamJob& candidate);
 
-  /// Analytic whole-frame cost of @p job's frame @p f in modeled cycles:
-  /// ME + 2x DCT-pass cycles, matching what sim_schedule charges a
-  /// kWholeFrame job of this frame once encoded. Content-independent,
-  /// hence exact before the frame is ever touched.
+  /// Analytic kernel cycles of @p job's frame @p frame: one ME search and
+  /// one DCT pass, exactly what the encoder charges. Content-independent,
+  /// hence exact before the frame is ever touched. Every cost the
+  /// controller uses derives from this one function.
+  [[nodiscard]] FrameCycles kernel_cycles(const StreamJob& job, int frame) const;
+
+  /// Analytic whole-frame cost of @p job's frame @p frame in modeled
+  /// cycles: stage_cycles(kWholeFrame, kernel_cycles()), what
+  /// sim_schedule charges a kWholeFrame job of this frame once encoded.
   [[nodiscard]] std::uint64_t frame_cycles(const StreamJob& job, int frame) const;
 
   /// Cheapest DCT context (by cycles_for_block) that places on at least
@@ -127,9 +133,8 @@ class AdmissionController {
   struct PilotStream {
     int stream_id = 0;
     StreamSla sla;
-    std::vector<std::uint64_t> me_cycles;   ///< per frame
-    std::vector<std::uint64_t> dct_cycles;  ///< per frame, one pass
-    std::vector<std::vector<int>> hosts;    ///< eligible fabric ids per frame
+    std::vector<FrameCycles> cycles;      ///< per frame
+    std::vector<std::vector<int>> hosts;  ///< eligible fabric ids per frame
   };
   struct PilotOutcome {
     bool placeable = true;  ///< false: some frame had no eligible fabric

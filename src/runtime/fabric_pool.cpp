@@ -9,6 +9,7 @@
 #include "core/arch.hpp"
 #include "mapper/flow.hpp"
 #include "me/systolic.hpp"
+#include "runtime/stage_dag.hpp"
 
 namespace dsra::runtime {
 
@@ -212,7 +213,7 @@ const std::vector<std::uint8_t>& KernelLibrary::bitstream(const std::string& nam
 }
 
 std::string KernelLibrary::kernel_of(const std::string& name) const {
-  return name == kMeContextName ? "me" : "dct";
+  return context_kernel(name) == kCapMotionEstimation ? "me" : "dct";
 }
 
 std::vector<std::string> KernelLibrary::names() const {

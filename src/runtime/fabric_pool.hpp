@@ -83,8 +83,8 @@ class KernelLibrary {
   /// bitstream(name, primary geometry).
   [[nodiscard]] const std::vector<std::uint8_t>& bitstream(const std::string& name) const;
 
-  /// Kernel tag of @p name's context: "me" for kMeContextName, "dct"
-  /// otherwise.
+  /// Kernel tag of @p name's context ("me" or "dct"), from the stage
+  /// DAG's context_kernel().
   [[nodiscard]] std::string kernel_of(const std::string& name) const;
 
   /// DCT implementation names (the ME context is listed separately).
@@ -150,10 +150,6 @@ class KernelLibrary {
   std::vector<ArrayGeometry> geometries_;
   std::map<ArrayGeometry, GeometryEntry> entries_;
 };
-
-/// Historical name from when the library knew one geometry and only DCT
-/// contexts; the runtime's call sites now say KernelLibrary.
-using DctLibrary = KernelLibrary;
 
 struct FabricConfig {
   soc::ReconfigPortConfig reconfig_port;

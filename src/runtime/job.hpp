@@ -93,10 +93,12 @@ struct FrameRecord {
   video::FrameStats stats;
 };
 
-/// In-flight stage state of one frame. The queue's dependency tracking
-/// guarantees at most one stage job per frame is running, and hands a
-/// frame's results to the next stage through the queue mutex, so the
-/// fields need no locking of their own.
+/// In-flight stage state of one frame. The stage DAG (stage_dag.hpp)
+/// guarantees at most one stage job per frame is running, and the queue
+/// hands a frame's results to the next stage through the lock the
+/// successor is enqueued and dequeued under (the JobQueue mutex, or one
+/// ShardedJobQueue shard mutex), so the fields need no locking of their
+/// own.
 struct FramePipelineState {
   video::MotionStageResult motion;
   video::TransformStageResult transform;
@@ -108,8 +110,8 @@ struct FramePipelineState {
 };
 
 /// One stream's full runtime state. Owned by the caller and mutated by the
-/// scheduler; the job queue guarantees at most one fabric works on a given
-/// stream's lane at any moment.
+/// scheduler; the stage DAG guarantees at most one job of each stage kind
+/// of a stream is in flight at any moment.
 struct StreamJob {
   int id = 0;
   StreamConfig config;

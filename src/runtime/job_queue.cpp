@@ -10,14 +10,9 @@ std::string to_string(SchedulingPolicy policy) {
   return policy == SchedulingPolicy::kRoundRobin ? "round-robin" : "affinity-batched";
 }
 
-std::string to_string(DispatchMode mode) {
-  return mode == DispatchMode::kMonolithicFrames ? "monolithic-frames" : "stage-pipeline";
-}
-
 JobQueue::JobQueue(std::vector<StreamJob>& streams, JobQueueConfig config)
-    : streams_(streams), config_(config) {
-  if (config_.pipeline_lookahead < 0) config_.pipeline_lookahead = 0;
-  lanes_.resize(streams_.size());
+    : streams_(streams), config_(config), dag_(config.mode, config.pipeline_lookahead) {
+  progress_.resize(streams_.size());
   const auto now = std::chrono::steady_clock::now();  // one stamp for the whole seed batch
   std::size_t total_jobs = 0;
   for (std::size_t k = 0; k < streams_.size(); ++k) {
@@ -28,59 +23,27 @@ JobQueue::JobQueue(std::vector<StreamJob>& streams, JobQueueConfig config)
     if (s.config.trajectory && s.frame_impls.size() != s.frames.size())
       resolve_stream_conditions(s);
     if (s.finished()) continue;
-    const int stream_id = static_cast<int>(k);
-    // A stream may arrive partially encoded (e.g. a second scheduler run
-    // over the same jobs); only the frames still ahead count. Jobs are
-    // counted per required context so a worker can tell whether any
-    // remaining work is runnable on *its* fabric (capability and
+    // Jobs are counted per required context so a worker can tell whether
+    // any remaining work is runnable on *its* fabric (capability and
     // placement), not just on some fabric.
-    const auto remaining =
-        static_cast<std::uint64_t>(static_cast<int>(s.frames.size()) - s.next_frame);
-    if (config_.mode == DispatchMode::kMonolithicFrames) {
-      for (int f = s.next_frame; f < static_cast<int>(s.frames.size()); ++f)
-        ++jobs_left_by_context_[s.impl_for(f)];
-      total_jobs += remaining;
-      enqueue_locked(stream_id, StageKind::kWholeFrame, s.next_frame, now);
-    } else {
-      s.pipeline.assign(s.frames.size(), FramePipelineState{});
-      Lane& lane = lanes_[k];
-      lane.dct_frame = s.next_frame;
-      lane.me_next = std::max(1, s.next_frame);  // frame 0 is intra, no ME
-      lane.me_done_upto = lane.me_next - 1;
-      const auto me_jobs =
-          static_cast<std::uint64_t>(static_cast<int>(s.frames.size()) - lane.me_next);
-      jobs_left_by_context_[kMeContextName] += me_jobs;
-      for (int f = s.next_frame; f < static_cast<int>(s.frames.size()); ++f)
-        jobs_left_by_context_[s.impl_for(f)] += 2;  // TQ + reconstruct
-      total_jobs += 2 * remaining + me_jobs;
-      advance_dct_lane_locked(stream_id, now);
-      advance_me_lane_locked(stream_id, now);
-    }
+    dag_.count_jobs(s, [&](const std::string& context, std::uint64_t jobs) {
+      jobs_left_by_context_[context] += jobs;
+      total_jobs += jobs;
+    });
+    enqueue_locked(static_cast<int>(k), dag_.seed(s, progress_[k], now), now);
   }
   events_.reserve(2 * total_jobs);
 }
 
-namespace {
-
-/// Kernel capability a context configures: the shared ME context runs on
-/// the systolic array, every DCT bitstream on the transform array.
-constexpr unsigned context_kernel(const std::string& context) {
-  return context == kMeContextName ? kCapMotionEstimation : kCapDctTransform;
-}
-
-}  // namespace
-
-const std::string& JobQueue::context_for(StageKind stage, int stream_id,
-                                         int frame_index) const {
-  static const std::string me_key{kMeContextName};
-  if (stage == StageKind::kMotionEstimation) return me_key;
-  return streams_[static_cast<std::size_t>(stream_id)].impl_for(frame_index);
+const std::string& JobQueue::context_of(const Ready& entry) const {
+  return runtime::context_of(streams_[static_cast<std::size_t>(entry.stream_id)],
+                             {entry.stage, entry.frame_index});
 }
 
 bool JobQueue::eligible(const Ready& entry, unsigned capabilities,
                         const HostFilter& can_host) const {
-  if ((kernel_of(entry.stage) & capabilities) == 0) return false;
-  return !can_host || can_host(context_for(entry.stage, entry.stream_id, entry.frame_index));
+  if ((stage_kernel(entry.stage) & capabilities) == 0) return false;
+  return !can_host || can_host(context_of(entry));
 }
 
 std::optional<std::size_t> JobQueue::pick_locked(
@@ -108,9 +71,7 @@ std::optional<std::size_t> JobQueue::pick_locked(
   if (!oldest) return std::nullopt;
   if (config_.policy == SchedulingPolicy::kRoundRobin) return oldest;
 
-  const auto key_of = [&](const Ready& r) -> const std::string& {
-    return context_for(r.stage, r.stream_id, r.frame_index);
-  };
+  const auto key_of = [&](const Ready& r) -> const std::string& { return context_of(r); };
 
   // Ageing valve, checked on every dispatch so it fires mid-batch: a job
   // that has already waited through aging_threshold dispatches is served
@@ -180,52 +141,17 @@ std::optional<std::size_t> JobQueue::pick_locked(
   return chosen;
 }
 
-void JobQueue::enqueue_locked(int stream_id, StageKind stage, int frame_index,
+void JobQueue::enqueue_locked(int stream_id, const StageJobList& jobs,
                               std::chrono::steady_clock::time_point now) {
-  ready_.push_back({stream_id, stage, frame_index, dispatch_seq_, now});
-  if (config_.mode == DispatchMode::kStagePipeline) {
-    // The frame's first stage job (ME for inter frames, DCT/quant for the
-    // intra frame) starts its latency clock.
-    if (stage == StageKind::kMotionEstimation ||
-        (stage == StageKind::kTransformQuant && frame_index == 0))
-      streams_[static_cast<std::size_t>(stream_id)]
-          .pipeline[static_cast<std::size_t>(frame_index)]
-          .first_ready = now;
-  }
+  for (const StageJob& job : jobs)
+    ready_.push_back({stream_id, job.stage, job.frame, dispatch_seq_, now});
 }
 
-void JobQueue::advance_me_lane_locked(int stream_id,
-                                      std::chrono::steady_clock::time_point now) {
-  StreamJob& s = streams_[static_cast<std::size_t>(stream_id)];
-  Lane& lane = lanes_[static_cast<std::size_t>(stream_id)];
-  if (lane.me_busy) return;
-  if (lane.me_next >= static_cast<int>(s.frames.size())) return;
-  // Open-loop ME searches the previous original frame, so the only
-  // dependency is the lookahead window: ME may run at most
-  // pipeline_lookahead frames ahead of the reconstruction lane.
-  if (lane.me_next > s.next_frame + config_.pipeline_lookahead) return;
-  lane.me_busy = true;
-  enqueue_locked(stream_id, StageKind::kMotionEstimation, lane.me_next, now);
-  ++lane.me_next;
-}
-
-void JobQueue::advance_dct_lane_locked(int stream_id,
-                                       std::chrono::steady_clock::time_point now) {
-  StreamJob& s = streams_[static_cast<std::size_t>(stream_id)];
-  Lane& lane = lanes_[static_cast<std::size_t>(stream_id)];
-  if (lane.dct_busy) return;
-  if (lane.dct_frame >= static_cast<int>(s.frames.size())) return;
-  // DCT/quant of frame k needs frame k's motion vectors (inter frames
-  // only; the intra frame 0 has none).
-  if (lane.dct_frame > 0 && lane.me_done_upto < lane.dct_frame) return;
-  lane.dct_busy = true;
-  enqueue_locked(stream_id, StageKind::kTransformQuant, lane.dct_frame, now);
-}
-
-std::optional<FrameTask> JobQueue::acquire(int fabric_id,
-                                           const std::optional<std::string>& fabric_impl,
-                                           unsigned capabilities,
-                                           const HostFilter& can_host) {
+std::vector<FrameTask> JobQueue::acquire_batch(int fabric_id,
+                                               const std::optional<std::string>& fabric_impl,
+                                               unsigned capabilities,
+                                               const HostFilter& can_host, int max_batch) {
+  (void)max_batch;  // the single-queue policy dispatches one job at a time
   std::unique_lock lock(mutex_);
   const auto has_eligible = [&] {
     return std::any_of(ready_.begin(), ready_.end(),
@@ -239,7 +165,7 @@ std::optional<FrameTask> JobQueue::acquire(int fabric_id,
     return false;
   };
   cv_.wait(lock, [&] { return has_eligible() || !work_possible(); });
-  if (!has_eligible()) return std::nullopt;
+  if (!has_eligible()) return {};
 
   ++dispatch_seq_;
   if (fabric_id >= static_cast<int>(runs_.size()))
@@ -251,8 +177,7 @@ std::optional<FrameTask> JobQueue::acquire(int fabric_id,
   // place.
   if (can_host &&
       std::any_of(ready_.begin(), ready_.end(), [&](const Ready& r) {
-        return (kernel_of(r.stage) & capabilities) != 0 &&
-               !can_host(context_for(r.stage, r.stream_id, r.frame_index));
+        return (stage_kernel(r.stage) & capabilities) != 0 && !can_host(context_of(r));
       })) {
     if (fabric_id >= static_cast<int>(placement_skips_.size()))
       placement_skips_.resize(static_cast<std::size_t>(fabric_id) + 1, 0);
@@ -265,7 +190,7 @@ std::optional<FrameTask> JobQueue::acquire(int fabric_id,
   ready_[*chosen] = ready_.back();
   ready_.pop_back();
 
-  const std::string key = context_for(entry.stage, entry.stream_id, entry.frame_index);
+  const std::string key = context_of(entry);
   if (run.impl == key) {
     ++run.length;
   } else {
@@ -288,21 +213,13 @@ std::optional<FrameTask> JobQueue::acquire(int fabric_id,
   task.stage = entry.stage;
   task.wait_dispatches = wait;
   task.ready_time = entry.ready_time;
-  return task;
-}
-
-void JobQueue::complete(const FrameTask& task, int fabric_id,
-                        std::uint64_t reconfig_cycles) {
-  // One timestamp covers every successor this completion enqueues, taken
-  // before the lock — now() under the hot mutex serialized the workers.
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard lock(mutex_);
-  complete_locked(task, fabric_id, reconfig_cycles, now);
-  cv_.notify_all();
+  return {task};
 }
 
 void JobQueue::complete_batch(const std::vector<CompletedTask>& batch, int fabric_id) {
   if (batch.empty()) return;
+  // One timestamp covers every successor this batch enqueues, taken
+  // before the lock — now() under the hot mutex serialized the workers.
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard lock(mutex_);
   for (const CompletedTask& done : batch)
@@ -316,47 +233,16 @@ void JobQueue::complete_locked(const FrameTask& task, int fabric_id,
   events_.push_back({++event_tick_, false, task.stream_id, task.frame_index, fabric_id,
                      task.stage, reconfig_cycles});
   ++completions_;
-  StreamJob& stream = streams_[static_cast<std::size_t>(task.stream_id)];
-  Lane& lane = lanes_[static_cast<std::size_t>(task.stream_id)];
-
-  switch (task.stage) {
-    case StageKind::kWholeFrame:
-      ++stream.next_frame;
-      if (!stream.finished())
-        enqueue_locked(task.stream_id, StageKind::kWholeFrame, stream.next_frame, now);
-      break;
-    case StageKind::kMotionEstimation:
-      lane.me_done_upto = task.frame_index;
-      lane.me_busy = false;
-      advance_dct_lane_locked(task.stream_id, now);  // TQ(frame) may have been blocked on us
-      advance_me_lane_locked(task.stream_id, now);
-      break;
-    case StageKind::kTransformQuant:
-      enqueue_locked(task.stream_id, StageKind::kReconstructEntropy, task.frame_index, now);
-      break;
-    case StageKind::kReconstructEntropy:
-      ++stream.next_frame;  // the frame is fully encoded
-      lane.dct_busy = false;
-      lane.dct_frame = task.frame_index + 1;
-      advance_dct_lane_locked(task.stream_id, now);
-      advance_me_lane_locked(task.stream_id, now);  // the lookahead window moved
-      break;
-  }
-}
-
-std::vector<FrameTask> JobQueue::acquire_batch(int fabric_id,
-                                               const std::optional<std::string>& fabric_impl,
-                                               unsigned capabilities,
-                                               const HostFilter& can_host, int max_batch) {
-  (void)max_batch;  // the single-queue policy dispatches one job at a time
-  std::vector<FrameTask> batch;
-  if (auto task = acquire(fabric_id, fabric_impl, capabilities, can_host))
-    batch.push_back(*task);
-  return batch;
+  const auto stream_id = static_cast<std::size_t>(task.stream_id);
+  enqueue_locked(task.stream_id,
+                 dag_.complete(streams_[stream_id], progress_[stream_id],
+                               {task.stage, task.frame_index}, now),
+                 now);
 }
 
 std::string JobQueue::required_context(const FrameTask& task) const {
-  return context_for(task.stage, task.stream_id, task.frame_index);
+  return runtime::context_of(streams_[static_cast<std::size_t>(task.stream_id)],
+                             {task.stage, task.frame_index});
 }
 
 std::uint64_t JobQueue::dispatches() const {
@@ -367,13 +253,6 @@ std::uint64_t JobQueue::dispatches() const {
 std::vector<std::uint64_t> JobQueue::placement_skips() const {
   std::lock_guard lock(mutex_);
   return placement_skips_;
-}
-
-std::uint64_t JobQueue::placement_rejections() const {
-  std::lock_guard lock(mutex_);
-  std::uint64_t total = 0;
-  for (const std::uint64_t skips : placement_skips_) total += skips;
-  return total;
 }
 
 std::uint64_t JobQueue::max_wait_dispatches() const {

@@ -7,13 +7,12 @@
 //    frame, ME runs inline on the worker, only the DCT kernel is needed.
 //    A stream re-enters the ready set when its in-flight frame completes.
 //  * kStagePipeline — each frame is split into ME -> DCT/quant ->
-//    reconstruct stage jobs with the data dependencies made explicit:
-//    frame k's DCT/quant needs frame k's motion vectors and frame k-1's
-//    reconstruction; frame k's reconstruct needs frame k's levels. Motion
-//    estimation searches the previous *original* frame (open-loop), so
-//    frame k+1's ME only needs frame k to exist — it overlaps frame k's
-//    DCT/quant on a different fabric. pipeline_lookahead bounds how many
-//    frames ME may run ahead of reconstruction.
+//    reconstruct stage jobs with the data dependencies made explicit, so
+//    frame k+1's ME overlaps frame k's DCT/quant on a different fabric.
+//
+// Which jobs a frame has, what each waits on and which context it runs
+// under is the frame-stage DAG of stage_dag.hpp; the queue seeds and
+// releases jobs through it and only decides which ready job to serve.
 //
 // Within either mode, two scheduling policies:
 //
@@ -35,7 +34,7 @@
 // filter: a job is only eligible on a fabric whose capability mask
 // covers its stage's kernel and whose array geometry can actually host
 // the job's required context (the library's fits() matrix, threaded in
-// as the acquire() host filter). The affinity key is therefore
+// as the acquire_batch() host filter). The affinity key is therefore
 // effectively (geometry, context): a stream whose context only places on
 // the large fabric can never be batched onto a small one, and a worker
 // exits once no job its fabric could ever run — by capability or by
@@ -56,6 +55,7 @@
 
 #include "runtime/health/snapshot.hpp"
 #include "runtime/job.hpp"
+#include "runtime/stage_dag.hpp"
 
 namespace dsra::runtime {
 
@@ -64,10 +64,8 @@ class FlightRecorder;
 }
 
 enum class SchedulingPolicy { kRoundRobin, kAffinityBatched };
-enum class DispatchMode { kMonolithicFrames, kStagePipeline };
 
 [[nodiscard]] std::string to_string(SchedulingPolicy policy);
-[[nodiscard]] std::string to_string(DispatchMode mode);
 
 struct JobQueueConfig {
   SchedulingPolicy policy = SchedulingPolicy::kAffinityBatched;
@@ -111,8 +109,8 @@ struct CompletedTask {
 class JobQueue {
  public:
   /// @p streams is shared with the workers; the queue reads impl_name /
-  /// frame counts, advances the per-stream lane bookkeeping on completion
-  /// and (in stage mode) sizes each stream's pipeline state.
+  /// frame counts, advances each stream through the stage DAG on
+  /// completion and (in stage mode) sizes each stream's pipeline state.
   JobQueue(std::vector<StreamJob>& streams, JobQueueConfig config = {});
 
   /// Placement-feasibility predicate of one fabric: true iff the named
@@ -123,16 +121,11 @@ class JobQueue {
   /// Block until a job is available that @p capabilities can run AND
   /// whose required context @p can_host accepts (the fabric's active
   /// bitstream is @p fabric_impl), or no such job can ever appear again;
-  /// nullopt means the worker should exit.
-  [[nodiscard]] std::optional<FrameTask> acquire(
-      int fabric_id, const std::optional<std::string>& fabric_impl,
-      unsigned capabilities = kCapAllKernels, const HostFilter& can_host = nullptr);
-
-  /// Batch frontend of acquire(): the single-queue policy picks exactly
-  /// one job per lock acquisition (its dispatch decisions are stateful
-  /// per dispatch), so the batch holds zero or one task. Exists so the
-  /// scheduler's worker loop is written once against the batched API the
-  /// sharded queue amortizes for real.
+  /// an empty batch means the worker should exit. The single-queue policy
+  /// picks exactly one job per lock acquisition (its dispatch decisions
+  /// are stateful per dispatch), so the batch holds zero or one task and
+  /// @p max_batch is ignored; the batched signature lets the scheduler's
+  /// worker loop be written once for both queues.
   [[nodiscard]] std::vector<FrameTask> acquire_batch(
       int fabric_id, const std::optional<std::string>& fabric_impl,
       unsigned capabilities = kCapAllKernels, const HostFilter& can_host = nullptr,
@@ -143,18 +136,13 @@ class JobQueue {
   /// the fabric's geometry (indexed by fabric id; missing = 0).
   [[nodiscard]] std::vector<std::uint64_t> placement_skips() const;
 
-  /// Sum of placement_skips() across the fabrics.
-  [[nodiscard]] std::uint64_t placement_rejections() const;
-
-  /// Mark @p task done on @p fabric_id; releases the jobs the completion
-  /// unblocks (next stage, next frame, or the ME window advancing).
-  /// @p reconfig_cycles is what the fabric paid to prepare the task's
-  /// context (fetch + switch); it is stamped on the completion event so
-  /// the simulated-time replay charges it into the modeled makespan.
-  void complete(const FrameTask& task, int fabric_id, std::uint64_t reconfig_cycles = 0);
-
-  /// Batch frontend of complete(): one timestamp and one lock acquisition
-  /// cover the whole batch.
+  /// Mark every task of @p batch done on @p fabric_id and release the
+  /// jobs the completions unblock (next stage, next frame, or the ME
+  /// window advancing); one timestamp and one lock acquisition cover the
+  /// whole batch. Each task's reconfig_cycles — what the fabric paid to
+  /// prepare its context (fetch + switch) — is stamped on the completion
+  /// event so the simulated-time replay charges it into the modeled
+  /// makespan.
   void complete_batch(const std::vector<CompletedTask>& batch, int fabric_id);
 
   /// Bitstream a task must have active before running. For a dynamic
@@ -188,21 +176,8 @@ class JobQueue {
     std::string impl;
     int length = 0;
   };
-  /// Per-stream pipeline lanes (stage mode only). The ME lane walks
-  /// frames 1..n-1; the DCT lane alternates TQ/reconstruct per frame.
-  struct Lane {
-    int me_next = 1;        ///< next frame to enqueue for ME
-    int me_done_upto = 0;   ///< ME complete for frames [1, me_done_upto]
-    bool me_busy = false;   ///< an ME job is ready or in flight
-    int dct_frame = 0;      ///< frame the DCT lane works on
-    bool dct_busy = false;  ///< a DCT-lane job is ready or in flight
-  };
-
-  /// Bitstream a (stage, stream, frame) job runs under — the affinity key
-  /// and the context the worker prepares, by construction the same thing.
-  /// Dynamic streams resolve it per frame, so the key changes mid-flight.
-  [[nodiscard]] const std::string& context_for(StageKind stage, int stream_id,
-                                               int frame_index) const;
+  /// Context a ready job runs under (stage_dag.hpp's context_of).
+  [[nodiscard]] const std::string& context_of(const Ready& entry) const;
   [[nodiscard]] bool eligible(const Ready& entry, unsigned capabilities,
                               const HostFilter& can_host) const;
 
@@ -219,19 +194,18 @@ class JobQueue {
   /// lock — steady_clock::now() is a syscall-class cost that has no
   /// business inside the hot mutex (every completion enqueues successors
   /// while holding it).
-  void enqueue_locked(int stream_id, StageKind stage, int frame_index,
+  void enqueue_locked(int stream_id, const StageJobList& jobs,
                       std::chrono::steady_clock::time_point now);
-  void advance_me_lane_locked(int stream_id, std::chrono::steady_clock::time_point now);
-  void advance_dct_lane_locked(int stream_id, std::chrono::steady_clock::time_point now);
 
   std::vector<StreamJob>& streams_;
   JobQueueConfig config_;
+  StageDag dag_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<Ready> ready_;
   std::vector<FabricRun> runs_;  ///< indexed by fabric id (grown on demand)
-  std::vector<Lane> lanes_;      ///< indexed by stream id (stage mode)
+  std::vector<StageProgress> progress_;  ///< indexed by stream id
   /// Undispatched jobs per required context (counting jobs not yet
   /// enqueued). The worker-exit test consults this *per fabric*: a
   /// worker may leave once every context with work left is one its

@@ -2,8 +2,9 @@
 //
 // A fabric advertises which kernels its silicon can host: the systolic ME
 // array (Fig 2) runs motion estimation, the DA/CORDIC array (Fig 3) runs
-// the DCT/quant and reconstruction kernels. Stage-typed jobs carry the
-// kernel they need and the scheduler only hands them to capable fabrics.
+// the DCT/quant and reconstruction kernels. Stage-typed jobs need the
+// kernel of their context (stage_dag.hpp) and the scheduler only hands
+// them to capable fabrics.
 #pragma once
 
 namespace dsra::runtime {
@@ -23,10 +24,6 @@ enum class StageKind {
   kTransformQuant,
   kReconstructEntropy,
 };
-
-[[nodiscard]] constexpr unsigned kernel_of(StageKind stage) {
-  return stage == StageKind::kMotionEstimation ? kCapMotionEstimation : kCapDctTransform;
-}
 
 [[nodiscard]] constexpr const char* to_string(StageKind stage) {
   switch (stage) {

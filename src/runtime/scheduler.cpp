@@ -327,9 +327,7 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
                             std::chrono::duration_cast<std::chrono::nanoseconds>(
                                 job_end - job_start)
                                 .count());
-            if (task.stage == StageKind::kWholeFrame ||
-                task.stage == StageKind::kReconstructEntropy)
-              hm->on_frame_done(task.stream_id);
+            if (ends_frame(task.stage)) hm->on_frame_done(task.stream_id);
           }
           if (trace_buf != nullptr) {
             telemetry::JobTrace t;
@@ -351,7 +349,7 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
           }
           done.push_back(CompletedTask{task, reconfig_cycles});
         }
-        // One completion call per batch: one timestamp, one lane pass and
+        // One completion call per batch: one timestamp, one DAG pass and
         // grouped successor enqueues (a single lock round on each queue).
         queue.complete_batch(done, fabric.id());
       }

@@ -12,11 +12,14 @@
 //    overlaps frame k's DCT/quant, and independent streams overlap across
 //    fabrics of different kernel capabilities.
 //
-// Every dispatch goes through the JobQueue's policy (config-affinity
-// batching with fairness valves, or naive round-robin as the baseline);
-// every fabric switch pays the measured configuration-port cycles —
-// charged per kernel, so the ME context loads are visible separately —
-// and every context-cache miss pays bus fetch cycles. The returned
+// Every dispatch goes through a ready queue's policy (config-affinity
+// batching with fairness valves, or naive round-robin as the baseline):
+// the single lock-guarded JobQueue when JobQueueConfig::shards is 1, the
+// ShardedJobQueue when it is larger. Both release stage jobs through the
+// frame-stage DAG (stage_dag.hpp). Every fabric switch pays the measured
+// configuration-port cycles — charged per kernel, so the ME context loads
+// are visible separately — and every context-cache miss pays bus fetch
+// cycles. The returned
 // RunReport carries per-stream latency percentiles, the stage dispatch
 // timeline, per-fabric busy time and the aggregate throughput and
 // reconfiguration accounting the acceptance benches compare across

@@ -8,86 +8,61 @@
 
 namespace dsra::runtime {
 
-namespace {
-
-constexpr unsigned context_kernel_caps(bool is_me) {
-  return is_me ? kCapMotionEstimation : kCapDctTransform;
-}
-
-}  // namespace
-
 ShardedJobQueue::ShardedJobQueue(std::vector<StreamJob>& streams, JobQueueConfig config)
-    : streams_(streams), config_(config) {
-  if (config_.pipeline_lookahead < 0) config_.pipeline_lookahead = 0;
+    : streams_(streams), config_(config), dag_(config.mode, config.pipeline_lookahead) {
   ways_ = static_cast<std::size_t>(std::max(1, config_.shards));
-  lanes_.resize(streams_.size());
-  lane_m_ = std::make_unique<std::mutex[]>(std::max<std::size_t>(1, streams_.size()));
+  progress_.resize(streams_.size());
+  progress_m_ = std::make_unique<std::mutex[]>(std::max<std::size_t>(1, streams_.size()));
 
-  // Intern every context the run can dispatch under. The set is the
-  // library's live subset — a handful of names — so ids are dense and the
-  // per-context structures are plain arrays.
+  // Intern every context the run can dispatch under, in the order the
+  // stage DAG first visits them. The set is the library's live subset — a
+  // handful of names — so ids are dense and the per-context structures
+  // are plain arrays.
   std::map<std::string, int> intern;
-  const auto intern_ctx = [&](const std::string& name) {
-    const auto [it, inserted] = intern.try_emplace(name, static_cast<int>(ctx_names_.size()));
-    if (inserted) ctx_names_.push_back(name);
-    return it->second;
-  };
+  std::vector<std::uint64_t> jobs_left;
   for (StreamJob& s : streams_) {
     if (s.config.trajectory && s.frame_impls.size() != s.frames.size())
       resolve_stream_conditions(s);
     if (s.finished()) continue;
-    if (config_.mode == DispatchMode::kStagePipeline) me_ctx_ = intern_ctx(kMeContextName);
-    for (int f = s.next_frame; f < static_cast<int>(s.frames.size()); ++f)
-      intern_ctx(s.impl_for(f));
+    dag_.count_jobs(s, [&](const std::string& context, std::uint64_t jobs) {
+      const auto [it, inserted] =
+          intern.try_emplace(context, static_cast<int>(ctx_names_.size()));
+      if (inserted) {
+        ctx_names_.push_back(context);
+        ctx_kernels_.push_back(context_kernel(context));
+        jobs_left.push_back(0);
+      }
+      jobs_left[static_cast<std::size_t>(it->second)] += jobs;
+    });
   }
 
   shard_total_ = ctx_names_.size() * ways_;
   shards_ = std::make_unique<Shard[]>(std::max<std::size_t>(1, shard_total_));
   jobs_left_ = std::make_unique<std::atomic<std::uint64_t>[]>(
       std::max<std::size_t>(1, ctx_names_.size()));
-  for (std::size_t c = 0; c < ctx_names_.size(); ++c) jobs_left_[c].store(0);
+  for (std::size_t c = 0; c < ctx_names_.size(); ++c) jobs_left_[c].store(jobs_left[c]);
 
   const auto now = std::chrono::steady_clock::now();  // one stamp for the seed batch
   std::vector<Ready> seed;
   for (std::size_t k = 0; k < streams_.size(); ++k) {
     StreamJob& s = streams_[k];
     if (s.finished()) continue;
-    const int stream_id = static_cast<int>(k);
-    if (config_.mode == DispatchMode::kMonolithicFrames) {
-      for (int f = s.next_frame; f < static_cast<int>(s.frames.size()); ++f)
-        jobs_left_[static_cast<std::size_t>(ctx_of(StageKind::kWholeFrame, stream_id, f))]
-            .fetch_add(1, std::memory_order_relaxed);
-      seed.push_back({stream_id, StageKind::kWholeFrame, s.next_frame,
-                      ctx_of(StageKind::kWholeFrame, stream_id, s.next_frame), 0, now});
-    } else {
-      s.pipeline.assign(s.frames.size(), FramePipelineState{});
-      Lane& lane = lanes_[k];
-      lane.dct_frame = s.next_frame;
-      lane.me_next = std::max(1, s.next_frame);  // frame 0 is intra, no ME
-      lane.me_done_upto = lane.me_next - 1;
-      const auto me_jobs =
-          static_cast<std::uint64_t>(static_cast<int>(s.frames.size()) - lane.me_next);
-      jobs_left_[static_cast<std::size_t>(me_ctx_)].fetch_add(me_jobs,
-                                                              std::memory_order_relaxed);
-      for (int f = s.next_frame; f < static_cast<int>(s.frames.size()); ++f)
-        jobs_left_[static_cast<std::size_t>(ctx_of(StageKind::kTransformQuant, stream_id, f))]
-            .fetch_add(2, std::memory_order_relaxed);  // TQ + reconstruct
-      advance_dct_lane(stream_id, now, seed);
-      advance_me_lane(stream_id, now, seed);
-    }
+    for (const StageJob& job : dag_.seed(s, progress_[k], now))
+      seed.push_back(ready_of(static_cast<int>(k), job, now));
   }
   push_group(seed);
 }
 
-int ShardedJobQueue::ctx_of(StageKind stage, int stream_id, int frame_index) const {
-  if (stage == StageKind::kMotionEstimation) return me_ctx_;
-  const std::string& name =
-      streams_[static_cast<std::size_t>(stream_id)].impl_for(frame_index);
-  // Dense linear probe: the context set is a handful of names, and this
-  // avoids a shared map in the dispatch path.
+int ShardedJobQueue::ctx_id(const std::string& context) const {
   for (std::size_t c = 0; c < ctx_names_.size(); ++c)
-    if (ctx_names_[c] == name) return static_cast<int>(c);
+    if (ctx_names_[c] == context) return static_cast<int>(c);
   return 0;  // unreachable for streams the constructor scanned
+}
+
+ShardedJobQueue::Ready ShardedJobQueue::ready_of(
+    int stream_id, StageJob job, std::chrono::steady_clock::time_point now) const {
+  const StreamJob& stream = streams_[static_cast<std::size_t>(stream_id)];
+  return {stream_id, job.stage, job.frame, ctx_id(context_of(stream, job)), 0, now};
 }
 
 ShardedJobQueue::FabricSlot& ShardedJobQueue::slot_of(int fabric_id) {
@@ -138,35 +113,6 @@ void ShardedJobQueue::wake_sleepers() {
   sleep_cv_.notify_all();
 }
 
-void ShardedJobQueue::advance_me_lane(int stream_id,
-                                      std::chrono::steady_clock::time_point now,
-                                      std::vector<Ready>& out) {
-  StreamJob& s = streams_[static_cast<std::size_t>(stream_id)];
-  Lane& lane = lanes_[static_cast<std::size_t>(stream_id)];
-  if (lane.me_busy) return;
-  if (lane.me_next >= static_cast<int>(s.frames.size())) return;
-  if (lane.me_next > s.next_frame + config_.pipeline_lookahead) return;
-  lane.me_busy = true;
-  out.push_back({stream_id, StageKind::kMotionEstimation, lane.me_next, me_ctx_, 0, now});
-  s.pipeline[static_cast<std::size_t>(lane.me_next)].first_ready = now;
-  ++lane.me_next;
-}
-
-void ShardedJobQueue::advance_dct_lane(int stream_id,
-                                       std::chrono::steady_clock::time_point now,
-                                       std::vector<Ready>& out) {
-  StreamJob& s = streams_[static_cast<std::size_t>(stream_id)];
-  Lane& lane = lanes_[static_cast<std::size_t>(stream_id)];
-  if (lane.dct_busy) return;
-  if (lane.dct_frame >= static_cast<int>(s.frames.size())) return;
-  if (lane.dct_frame > 0 && lane.me_done_upto < lane.dct_frame) return;
-  lane.dct_busy = true;
-  out.push_back({stream_id, StageKind::kTransformQuant, lane.dct_frame,
-                 ctx_of(StageKind::kTransformQuant, stream_id, lane.dct_frame), 0, now});
-  if (lane.dct_frame == 0)
-    s.pipeline[0].first_ready = now;  // intra frame: TQ is its first stage
-}
-
 std::vector<FrameTask> ShardedJobQueue::acquire_batch(
     int fabric_id, const std::optional<std::string>& fabric_impl, unsigned capabilities,
     const HostFilter& can_host, int max_batch) {
@@ -179,8 +125,7 @@ std::vector<FrameTask> ShardedJobQueue::acquire_batch(
   std::vector<bool> ctx_ok(nctx, false);
   int active_ctx = -1;
   for (std::size_t c = 0; c < nctx; ++c) {
-    const bool is_me = static_cast<int>(c) == me_ctx_;
-    if ((context_kernel_caps(is_me) & capabilities) == 0) continue;
+    if ((ctx_kernels_[c] & capabilities) == 0) continue;
     if (can_host && !can_host(ctx_names_[c])) continue;
     ctx_ok[c] = true;
   }
@@ -215,8 +160,7 @@ std::vector<FrameTask> ShardedJobQueue::acquire_batch(
         if (!ctx_ok[c]) {
           // A capability-eligible job this fabric cannot place: the
           // placement-rejection accounting the geometry report shows.
-          const bool is_me = static_cast<int>(c) == me_ctx_;
-          if ((context_kernel_caps(is_me) & capabilities) != 0) saw_placement_skip = true;
+          if ((ctx_kernels_[c] & capabilities) != 0) saw_placement_skip = true;
           continue;
         }
         if (seq_now - head >= config_.aging_threshold && head < aged_head) {
@@ -367,15 +311,6 @@ std::vector<FrameTask> ShardedJobQueue::acquire_batch(
   }
 }
 
-std::optional<FrameTask> ShardedJobQueue::acquire(
-    int fabric_id, const std::optional<std::string>& fabric_impl, unsigned capabilities,
-    const HostFilter& can_host) {
-  std::vector<FrameTask> batch =
-      acquire_batch(fabric_id, fabric_impl, capabilities, can_host, 1);
-  if (batch.empty()) return std::nullopt;
-  return batch.front();
-}
-
 void ShardedJobQueue::complete_batch(const std::vector<CompletedTask>& batch,
                                      int fabric_id) {
   if (batch.empty()) return;
@@ -389,51 +324,18 @@ void ShardedJobQueue::complete_batch(const std::vector<CompletedTask>& batch,
     slot.events.push_back({event_tick_.fetch_add(1, std::memory_order_seq_cst) + 1, false,
                            task.stream_id, task.frame_index, fabric_id, task.stage,
                            done.reconfig_cycles});
-    StreamJob& stream = streams_[static_cast<std::size_t>(task.stream_id)];
-    std::lock_guard lane_lock(lane_m_[static_cast<std::size_t>(task.stream_id)]);
-    Lane& lane = lanes_[static_cast<std::size_t>(task.stream_id)];
-    switch (task.stage) {
-      case StageKind::kWholeFrame:
-        ++stream.next_frame;
-        if (!stream.finished())
-          successors.push_back({task.stream_id, StageKind::kWholeFrame, stream.next_frame,
-                                ctx_of(StageKind::kWholeFrame, task.stream_id,
-                                       stream.next_frame),
-                                0, now});
-        break;
-      case StageKind::kMotionEstimation:
-        lane.me_done_upto = task.frame_index;
-        lane.me_busy = false;
-        advance_dct_lane(task.stream_id, now, successors);
-        advance_me_lane(task.stream_id, now, successors);
-        break;
-      case StageKind::kTransformQuant:
-        successors.push_back({task.stream_id, StageKind::kReconstructEntropy,
-                              task.frame_index,
-                              ctx_of(StageKind::kReconstructEntropy, task.stream_id,
-                                     task.frame_index),
-                              0, now});
-        break;
-      case StageKind::kReconstructEntropy:
-        ++stream.next_frame;  // the frame is fully encoded
-        lane.dct_busy = false;
-        lane.dct_frame = task.frame_index + 1;
-        advance_dct_lane(task.stream_id, now, successors);
-        advance_me_lane(task.stream_id, now, successors);
-        break;
-    }
+    const auto stream_id = static_cast<std::size_t>(task.stream_id);
+    std::lock_guard progress_lock(progress_m_[stream_id]);
+    for (const StageJob& job : dag_.complete(streams_[stream_id], progress_[stream_id],
+                                             {task.stage, task.frame_index}, now))
+      successors.push_back(ready_of(task.stream_id, job, now));
   }
   push_group(successors);
 }
 
-void ShardedJobQueue::complete(const FrameTask& task, int fabric_id,
-                               std::uint64_t reconfig_cycles) {
-  complete_batch({{task, reconfig_cycles}}, fabric_id);
-}
-
 std::string ShardedJobQueue::required_context(const FrameTask& task) const {
-  if (task.stage == StageKind::kMotionEstimation) return kMeContextName;
-  return streams_[static_cast<std::size_t>(task.stream_id)].impl_for(task.frame_index);
+  return context_of(streams_[static_cast<std::size_t>(task.stream_id)],
+                    {task.stage, task.frame_index});
 }
 
 std::uint64_t ShardedJobQueue::dispatches() const {
@@ -455,12 +357,6 @@ std::vector<std::uint64_t> ShardedJobQueue::placement_skips() const {
     if (slot_by_fabric_[f] != nullptr)
       skips[f] = slot_by_fabric_[f]->placement_skips.load(std::memory_order_relaxed);
   return skips;
-}
-
-std::uint64_t ShardedJobQueue::placement_rejections() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t skips : placement_skips()) total += skips;
-  return total;
 }
 
 std::vector<StageEvent> ShardedJobQueue::timeline() const {

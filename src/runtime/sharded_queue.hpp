@@ -74,15 +74,10 @@ class ShardedJobQueue {
       unsigned capabilities = kCapAllKernels, const HostFilter& can_host = nullptr,
       int max_batch = 0);
 
-  /// Single-task frontend (batch of one), for API parity with JobQueue.
-  [[nodiscard]] std::optional<FrameTask> acquire(
-      int fabric_id, const std::optional<std::string>& fabric_impl,
-      unsigned capabilities = kCapAllKernels, const HostFilter& can_host = nullptr);
-
-  /// Batched completion: one timestamp, one lane pass, and the successor
-  /// enqueues grouped by target shard (one lock acquisition per shard).
+  /// Batched completion: one timestamp, one stage-DAG pass per task, and
+  /// the successor enqueues grouped by target shard (one lock acquisition
+  /// per shard).
   void complete_batch(const std::vector<CompletedTask>& batch, int fabric_id);
-  void complete(const FrameTask& task, int fabric_id, std::uint64_t reconfig_cycles = 0);
 
   [[nodiscard]] std::string required_context(const FrameTask& task) const;
 
@@ -93,7 +88,6 @@ class ShardedJobQueue {
   [[nodiscard]] std::uint64_t dispatches() const;
   [[nodiscard]] std::uint64_t max_wait_dispatches() const;
   [[nodiscard]] std::vector<std::uint64_t> placement_skips() const;
-  [[nodiscard]] std::uint64_t placement_rejections() const;
   /// Event log merged from the per-fabric slots, sorted by tick.
   [[nodiscard]] std::vector<StageEvent> timeline() const;
 
@@ -142,15 +136,12 @@ class ShardedJobQueue {
     std::atomic<std::uint64_t> batches{0};
     std::vector<StageEvent> events;
   };
-  struct Lane {
-    int me_next = 1;
-    int me_done_upto = 0;
-    bool me_busy = false;
-    int dct_frame = 0;
-    bool dct_busy = false;
-  };
-
-  [[nodiscard]] int ctx_of(StageKind stage, int stream_id, int frame_index) const;
+  /// Interned id of @p context (a dense linear probe: the context set is
+  /// a handful of names, and this keeps a shared map off the hot path).
+  [[nodiscard]] int ctx_id(const std::string& context) const;
+  /// Ready entry of @p job of stream @p stream_id, keyed by its context.
+  [[nodiscard]] Ready ready_of(int stream_id, StageJob job,
+                               std::chrono::steady_clock::time_point now) const;
   [[nodiscard]] const std::string& context_name(int ctx) const { return ctx_names_[static_cast<std::size_t>(ctx)]; }
   [[nodiscard]] std::size_t shard_index(int ctx, int stream_id) const {
     return static_cast<std::size_t>(ctx) * ways_ +
@@ -163,32 +154,26 @@ class ShardedJobQueue {
   void push_group(std::vector<Ready>& batch);
   void wake_sleepers();
 
-  /// Lane advance decisions (stage mode), collected instead of pushed so
-  /// the caller can group them. Requires lane_m_[stream] held.
-  void advance_me_lane(int stream_id, std::chrono::steady_clock::time_point now,
-                       std::vector<Ready>& out);
-  void advance_dct_lane(int stream_id, std::chrono::steady_clock::time_point now,
-                        std::vector<Ready>& out);
-
   std::vector<StreamJob>& streams_;
   JobQueueConfig config_;
+  StageDag dag_;
   std::size_t ways_ = 1;         ///< sub-shards per context
   std::size_t shard_total_ = 0;  ///< contexts * ways
 
   std::vector<std::string> ctx_names_;  ///< interned context names, by id
-  int me_ctx_ = -1;                     ///< id of the shared ME context (stage mode)
+  std::vector<unsigned> ctx_kernels_;   ///< context_kernel() of each, by id
   std::unique_ptr<Shard[]> shards_;
   /// Undispatched jobs per context — the worker-exit test, as in JobQueue
   /// but per-context atomics instead of a map under the global lock.
   std::unique_ptr<std::atomic<std::uint64_t>[]> jobs_left_;
 
-  std::vector<Lane> lanes_;
-  /// Per-stream lane lock: in stage mode one stream's ME and DCT lanes
-  /// complete on different fabrics concurrently, and both mutate the
-  /// stream's lane counters / next_frame. The data handoff between
+  std::vector<StageProgress> progress_;  ///< indexed by stream id
+  /// Per-stream progress lock: in stage mode one stream's ME and DCT/quant
+  /// jobs complete on different fabrics concurrently, and both advance
+  /// the stream's StageProgress / next_frame. The data handoff between
   /// stages still rides the shard mutexes (write happens before the
   /// successor's enqueue, read after its dequeue, same shard lock).
-  std::unique_ptr<std::mutex[]> lane_m_;
+  std::unique_ptr<std::mutex[]> progress_m_;
 
   std::atomic<std::uint64_t> dispatch_seq_{0};
   std::atomic<std::uint64_t> completions_{0};

@@ -3,24 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "runtime/stage_dag.hpp"
+
 namespace dsra::runtime {
 
 namespace {
-
-std::uint64_t duration_of(const video::FrameStats& stats, StageKind stage) {
-  switch (stage) {
-    case StageKind::kWholeFrame:
-      return stats.me_array_cycles + 2 * stats.dct_array_cycles;
-    case StageKind::kMotionEstimation:
-      return stats.me_array_cycles;
-    case StageKind::kTransformQuant:
-    case StageKind::kReconstructEntropy:
-      return stats.dct_array_cycles;
-  }
-  return 0;
-}
-
-constexpr std::size_t kStageSlots = 4;  ///< StageKind has four values
 
 /// Flat per-(stream, frame) addressing for the replay's lookups. Frames
 /// need not start at 0 (a resumed stream only carries records of the
@@ -42,7 +29,7 @@ struct FlatIndex {
     return offsets[static_cast<std::size_t>(stream)] + static_cast<std::size_t>(frame);
   }
   [[nodiscard]] std::size_t stage_at(int stream, int frame, StageKind stage) const {
-    return at(stream, frame) * kStageSlots + static_cast<std::size_t>(stage);
+    return at(stream, frame) * kStageKindCount + static_cast<std::size_t>(stage);
   }
 };
 
@@ -75,7 +62,6 @@ SimSchedule simulate_timeline(const std::vector<StreamJob>& streams,
                               const std::vector<StageEvent>& timeline,
                               int pipeline_lookahead,
                               const std::vector<int>* slot_physical) {
-  if (pipeline_lookahead < 0) pipeline_lookahead = 0;
   SimSchedule schedule;
   const FlatIndex index = build_index(streams, timeline);
 
@@ -88,14 +74,14 @@ SimSchedule simulate_timeline(const std::vector<StreamJob>& streams,
   // Reconfiguration charges ride on the completion events; index them so
   // each dispatched job's modeled duration includes what its fabric paid
   // to fetch and switch the context.
-  std::vector<std::uint64_t> reconfig_of(index.total * kStageSlots, 0);
+  std::vector<std::uint64_t> reconfig_of(index.total * kStageKindCount, 0);
   for (const StageEvent& e : timeline)
     if (!e.start && index.in_range(e.stream_id, e.frame_index))
       reconfig_of[index.stage_at(e.stream_id, e.frame_index, e.stage)] = e.reconfig_cycles;
 
-  std::vector<std::uint64_t> end_of(index.total * kStageSlots, 0);
+  std::vector<std::uint64_t> end_of(index.total * kStageKindCount, 0);
   const auto dep_end = [&](int stream, int frame, StageKind stage) -> std::uint64_t {
-    if (frame < 0 || !index.in_range(stream, frame)) return 0;
+    if (!index.in_range(stream, frame)) return 0;
     return end_of[index.stage_at(stream, frame, stage)];
   };
 
@@ -120,25 +106,8 @@ SimSchedule simulate_timeline(const std::vector<StreamJob>& streams,
     }
 
     std::uint64_t ready = 0;
-    switch (e.stage) {
-      case StageKind::kWholeFrame:
-        ready = dep_end(e.stream_id, e.frame_index - 1, StageKind::kWholeFrame);
-        break;
-      case StageKind::kMotionEstimation:
-        ready = std::max(
-            dep_end(e.stream_id, e.frame_index - 1, StageKind::kMotionEstimation),
-            dep_end(e.stream_id, e.frame_index - 1 - pipeline_lookahead,
-                    StageKind::kReconstructEntropy));
-        break;
-      case StageKind::kTransformQuant:
-        ready = std::max(
-            dep_end(e.stream_id, e.frame_index, StageKind::kMotionEstimation),
-            dep_end(e.stream_id, e.frame_index - 1, StageKind::kReconstructEntropy));
-        break;
-      case StageKind::kReconstructEntropy:
-        ready = dep_end(e.stream_id, e.frame_index, StageKind::kTransformQuant);
-        break;
-    }
+    for (const StageJob& dep : dependencies({e.stage, e.frame_index}, pipeline_lookahead))
+      ready = std::max(ready, dep_end(e.stream_id, dep.frame, dep.stage));
 
     const video::FrameStats* stats =
         index.in_range(e.stream_id, e.frame_index)
@@ -148,7 +117,8 @@ SimSchedule simulate_timeline(const std::vector<StreamJob>& streams,
       throw std::invalid_argument("timeline references a frame with no record");
     const std::uint64_t reconfig =
         reconfig_of[index.stage_at(e.stream_id, e.frame_index, e.stage)];
-    const std::uint64_t duration = duration_of(*stats, e.stage) + reconfig;
+    const std::uint64_t duration =
+        stage_cycles(e.stage, {stats->me_array_cycles, stats->dct_array_cycles}) + reconfig;
     auto& clock = fabric_clock[static_cast<std::size_t>(e.fabric_id)];
 
     SimStageJob job;

@@ -6,17 +6,12 @@
 // module replays a run's dispatch timeline as a discrete-event schedule:
 // jobs keep the fabric assignment and per-fabric order the scheduler
 // chose, every job costs its modeled array cycles, and a job starts no
-// earlier than its data dependencies completed —
-//
-//   whole frame k : frame k-1 of the same stream
-//   ME k          : ME k-1 (lane order) and reconstruct k-1-lookahead
-//                   (the pipeline window)
-//   DCT/quant k   : ME k and reconstruct k-1 (it predicts from it)
-//   reconstruct k : DCT/quant k
-//
-// The resulting makespan and per-fabric busy cycles are deterministic for
-// a given timeline, which makes pipeline-overlap assertions and bench
-// speedups independent of host load and core count.
+// earlier than its data dependencies completed. Dependencies and stage
+// costs are the frame-stage DAG's (stage_dag.hpp), the same rules the
+// queues release jobs by. The resulting makespan and per-fabric busy
+// cycles are deterministic for a given timeline, which makes
+// pipeline-overlap assertions and bench speedups independent of host
+// load and core count.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +55,11 @@ struct SimSchedule {
 };
 
 /// Replay @p timeline (a RunReport's event log) against the completed
-/// @p streams. Job costs come from the per-frame stats: the ME stage
-/// costs the frame's ME-array cycles, the DCT/quant and reconstruct
-/// stages each cost the frame's DCT-array cycles (forward and inverse
-/// pass), and a whole-frame job costs their sum. On top of that, every
+/// @p streams. Job costs come from the per-frame stats through
+/// stage_cycles(): the ME stage costs the frame's ME-array cycles, the
+/// DCT/quant and reconstruct stages each cost the frame's DCT-array
+/// cycles (forward and inverse pass), and a whole-frame job costs their
+/// sum. On top of that, every
 /// job is charged the context-fetch + configuration-port cycles its
 /// completion event recorded, so switching bitstreams mid-stream (the
 /// dynamic-condition workload) costs modeled time, not just a counter.
